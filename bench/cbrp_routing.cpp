@@ -47,6 +47,8 @@ int main(int argc, char** argv) {
         params.scenario.seed = 1 + static_cast<std::uint64_t>(k);
         params.flows = 10;
         params.data_interval = 5.0;
+        cfg.apply_obs(params.scenario);
+        params.scenario.obs.tag = alg.name;  // "{tag}" in --trace-out
         return routing::run_cbrp_experiment(params, alg.factory);
       });
 
@@ -56,13 +58,13 @@ int main(int argc, char** argv) {
     util::RunningStats cs, delivery, ctrl, rreq, rerr, latency, hops;
     for (std::size_t k = 0; k < seeds; ++k) {
       const auto& r = runs[a * seeds + k];
-      cs.add(static_cast<double>(r.ch_changes));
-      delivery.add(r.delivery_ratio);
-      ctrl.add(r.control_per_delivery);
+      cs.add(static_cast<double>(r.run.ch_changes));
+      delivery.add(r.stats.delivery_ratio());
+      ctrl.add(r.stats.control_per_delivery());
       rreq.add(static_cast<double>(r.stats.rreq_tx));
       rerr.add(static_cast<double>(r.stats.rerr_tx));
-      latency.add(r.mean_discovery_latency * 1e3);
-      hops.add(r.mean_route_hops);
+      latency.add(r.stats.discovery_latency.mean() * 1e3);
+      hops.add(r.stats.route_hops.mean());
     }
     (alg.name == "mobic" ? delivery_mobic : delivery_lid) = delivery.mean();
     table.add(alg.name, util::Table::fmt(cs.mean(), 0),

@@ -51,6 +51,8 @@ int main(int argc, char** argv) {
         params.scenario.sim_time = cfg.sim_time;
         params.scenario.tx_range = 150.0;
         params.scenario.seed = 1 + static_cast<std::uint64_t>(k);
+        cfg.apply_obs(params.scenario);
+        params.scenario.obs.tag = alg.name;  // "{tag}" in --trace-out
         return routing::run_routing_experiment(params, alg.factory);
       });
 

@@ -65,6 +65,9 @@ std::vector<net::NodeId> CbrpAgent::cached_route(net::NodeId target) const {
 void CbrpAgent::send_data(net::Node& node, net::NodeId target,
                           std::size_t bytes) {
   MANET_CHECK(target != self_, "send_data to self");
+  if (!node.alive()) {
+    return;  // a crashed or depleted host runs no application
+  }
   if (options_.stats != nullptr) {
     ++options_.stats->data_sent;
   }
@@ -202,16 +205,16 @@ void CbrpAgent::flush_pending(net::Node& node, net::NodeId target) {
   if (it == pending_.end()) {
     return;
   }
-  const auto route = routes_.find(target);
-  MANET_ASSERT(route != routes_.end());
-  for (const std::size_t bytes : it->second) {
-    Data data;
-    data.path = route->second;
-    data.hop_index = 0;
+  // Take both out first: a failed hop erases the route, and a send that
+  // empties the battery resets this agent mid-loop.
+  const std::deque<std::size_t> queue = std::move(it->second);
+  pending_.erase(it);
+  Data data;
+  data.path = routes_.at(target);
+  for (const std::size_t bytes : queue) {
     data.bytes = bytes;
     forward_data(node, data);
   }
-  pending_.erase(it);
 }
 
 void CbrpAgent::forward_data(net::Node& node, const Data& data) {
@@ -231,6 +234,9 @@ void CbrpAgent::forward_data(net::Node& node, const Data& data) {
   // re-discovers.
   if (options_.stats != nullptr) {
     ++options_.stats->data_dropped;
+  }
+  if (!node.alive()) {
+    return;  // the transmission emptied our battery; nobody to warn
   }
   const net::NodeId target = data.path.back();
   if (data.hop_index == 0) {

@@ -22,14 +22,12 @@ struct CbrpExperimentParams {
 };
 
 struct CbrpExperimentResult {
-  std::uint64_t ch_changes = 0;
+  scenario::RunResult run;  // the underlay run (CS, faults, energy, obs)
   CbrpStats stats;
-  double delivery_ratio = 0.0;
-  double control_per_delivery = 0.0;
-  double mean_discovery_latency = 0.0;  // s
-  double mean_route_hops = 0.0;
 };
 
+/// Runs the flows through scenario::run_scenario, so every Scenario knob
+/// (faults, energy, obs, sim_jobs) applies to CBRP runs too.
 CbrpExperimentResult run_cbrp_experiment(
     const CbrpExperimentParams& params,
     const scenario::OptionsFactory& factory);

@@ -89,6 +89,13 @@ std::string expand_trace_path(const std::string& path, std::uint64_t seed,
   return expand_placeholder(s, "{tag}", tag);
 }
 
+/// The default AgentFactory: the node runs the clustering agent alone.
+NodeAgent clustering_agent(const cluster::ClusterOptions& opts) {
+  auto agent = std::make_unique<cluster::WeightedClusterAgent>(opts);
+  const cluster::WeightedClusterAgent* clustering = agent.get();
+  return {std::move(agent), clustering};
+}
+
 }  // namespace
 
 OptionsFactory factory_by_name(const std::string& name) {
@@ -100,7 +107,8 @@ OptionsFactory factory_by_name(const std::string& name) {
 RunResult run_scenario(const Scenario& scenario,
                        const OptionsFactory& factory,
                        const std::function<void(LiveContext&)>& on_start,
-                       cluster::ClusterEventSink* extra_sink) {
+                       cluster::ClusterEventSink* extra_sink,
+                       const AgentFactory& make_agent) {
   MANET_CHECK(scenario.n_nodes >= 2, "need at least two nodes");
   MANET_CHECK(scenario.tx_range > 0.0);
   MANET_CHECK(scenario.sim_time > scenario.warmup,
@@ -188,9 +196,10 @@ RunResult run_scenario(const Scenario& scenario,
       opts.obs = &bundle->agent_hooks;
     }
     opts.energy = energy.get();
-    auto agent = std::make_unique<cluster::WeightedClusterAgent>(opts);
-    agents.push_back(agent.get());
-    node->set_agent(std::move(agent));
+    NodeAgent made = make_agent != nullptr ? make_agent(opts)
+                                           : clustering_agent(opts);
+    agents.push_back(made.clustering);
+    node->set_agent(std::move(made.agent));
   }
 
   cluster::ClusterSampler sampler(sim, agents);

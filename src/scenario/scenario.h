@@ -5,8 +5,10 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <string>
 
+#include "cluster/agent.h"
 #include "cluster/presets.h"
 #include "cluster/stats.h"
 #include "cluster/validation.h"
@@ -159,14 +161,33 @@ struct LiveContext {
   const std::vector<const cluster::WeightedClusterAgent*>& agents;
 };
 
+/// One node's protocol stack: the agent installed on the node, and the
+/// clustering agent inside it that samplers, validators and
+/// LiveContext::agents observe (the same object for a plain clustering
+/// agent; the wrapped underlay for e.g. routing::CbrpAgent).
+struct NodeAgent {
+  std::unique_ptr<net::Agent> agent;
+  const cluster::WeightedClusterAgent* clustering = nullptr;
+};
+
+/// Builds a node's agent from its finished clustering options (event sink,
+/// obs hooks and energy model already set). Called once per node, in node
+/// id order.
+using AgentFactory =
+    std::function<NodeAgent(const cluster::ClusterOptions&)>;
+
 /// Executes one full simulation of `scenario` with every node running the
-/// clustering configuration produced by `factory`. `on_start`, if given, is
-/// invoked once before the clock runs; `extra_sink`, if given, receives the
-/// clustering events alongside the internal stats collector (e.g. a
-/// TimelineRecorder).
+/// clustering configuration produced by `factory`. This is the single place
+/// a run is assembled; workloads plug in through the optional hooks.
+/// `on_start`, if given, is invoked once before the clock runs;
+/// `extra_sink`, if given, receives the clustering events alongside the
+/// internal stats collector (e.g. a TimelineRecorder); `make_agent`, if
+/// given, builds each node's agent around its clustering options (default:
+/// a bare cluster::WeightedClusterAgent).
 RunResult run_scenario(
     const Scenario& scenario, const OptionsFactory& factory,
     const std::function<void(LiveContext&)>& on_start = nullptr,
-    cluster::ClusterEventSink* extra_sink = nullptr);
+    cluster::ClusterEventSink* extra_sink = nullptr,
+    const AgentFactory& make_agent = nullptr);
 
 }  // namespace manet::scenario

@@ -38,10 +38,11 @@
 //   1. Under clang, MANET_COMMIT_ONLY expands to a thread-safety-analysis
 //      capability requirement on the global `commit_role` capability
 //      (-Wthread-safety, wired up for src/ in src/CMakeLists.txt). The
-//      capability is acquired where a thread *becomes* a run's commit
-//      thread (util::CommitRoleScope in scenario::run_scenario and the
-//      other simulator-owning drivers) and re-asserted at the top of every
-//      event callback with MANET_ASSERT_COMMIT_ROLE() — event lambdas are
+//      capability is acquired where a thread *becomes* a commit thread
+//      (util::CommitRoleScope in scenario::run_scenario, the only code that
+//      drives a run's simulator, and in util::bootstrap_ci, which owns a
+//      private serial Rng) and re-asserted at the top of every event
+//      callback with MANET_ASSERT_COMMIT_ROLE() — event lambdas are
 //      analyzed as standalone functions, so the assertion is what threads
 //      the proof through the type-erased sim::InplaceEvent dispatch.
 //      MANET_WORKER_SAFE deliberately adds no clang attribute: a worker

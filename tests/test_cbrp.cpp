@@ -1,4 +1,7 @@
 // Packet-level CBRP routing over the cluster structure.
+#include <array>
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "cluster/presets.h"
@@ -179,10 +182,10 @@ TEST(CbrpExperimentTest, RunsEndToEndWithSaneNumbers) {
   const auto r = run_cbrp_experiment(
       params, scenario::factory_by_name("mobic"));
   EXPECT_GT(r.stats.data_sent, 50u);
-  EXPECT_GT(r.delivery_ratio, 0.6);
+  EXPECT_GT(r.stats.delivery_ratio(), 0.6);
   EXPECT_GT(r.stats.discoveries_succeeded, 0u);
-  EXPECT_GT(r.mean_route_hops, 0.9);
-  EXPECT_LT(r.mean_discovery_latency, 1.0);
+  EXPECT_GT(r.stats.route_hops.mean(), 0.9);
+  EXPECT_LT(r.stats.discovery_latency.mean(), 1.0);
 }
 
 TEST(CbrpExperimentTest, Deterministic) {
@@ -198,7 +201,95 @@ TEST(CbrpExperimentTest, Deterministic) {
       run_cbrp_experiment(params, scenario::factory_by_name("lowest_id"));
   EXPECT_EQ(a.stats.data_delivered, b.stats.data_delivered);
   EXPECT_EQ(a.stats.rreq_tx, b.stats.rreq_tx);
-  EXPECT_EQ(a.ch_changes, b.ch_changes);
+  EXPECT_EQ(a.run.ch_changes, b.run.ch_changes);
+}
+
+// Every CbrpStats counter, in declaration order.
+std::array<std::uint64_t, 9> counters(const CbrpStats& s) {
+  return {s.rreq_tx,   s.rrep_tx,        s.data_tx,
+          s.rerr_tx,   s.discoveries_started, s.discoveries_succeeded,
+          s.data_sent, s.data_delivered, s.data_dropped};
+}
+
+void expect_same_stats(const CbrpStats& a, const CbrpStats& b) {
+  EXPECT_EQ(counters(a), counters(b));
+  EXPECT_EQ(a.discovery_latency.count(), b.discovery_latency.count());
+  EXPECT_EQ(a.discovery_latency.mean(), b.discovery_latency.mean());
+  EXPECT_EQ(a.route_hops.count(), b.route_hops.count());
+  EXPECT_EQ(a.route_hops.mean(), b.route_hops.mean());
+}
+
+CbrpExperimentParams small_mobile_params() {
+  CbrpExperimentParams params;
+  params.scenario.n_nodes = 20;
+  params.scenario.fleet.field = geom::Rect(400.0, 400.0);
+  params.scenario.fleet.max_speed = 10.0;
+  params.scenario.tx_range = 150.0;
+  params.scenario.sim_time = 120.0;
+  params.scenario.seed = 3;
+  params.flows = 4;
+  params.data_interval = 4.0;
+  return params;
+}
+
+// Pins one small run exactly: any drift in event order, RNG streams or the
+// agents' wiring shows up here. Doubles are compared bit for bit.
+TEST(CbrpExperimentTest, PinnedSmallRun) {
+  const auto r = run_cbrp_experiment(small_mobile_params(),
+                                     scenario::factory_by_name("mobic"));
+  EXPECT_EQ(r.run.ch_changes, 14u);
+  const std::array<std::uint64_t, 9> expected = {295, 44, 215, 11, 23,
+                                                 20,  111, 95, 16};
+  EXPECT_EQ(counters(r.stats), expected);
+  EXPECT_EQ(r.stats.discovery_latency.count(), 20u);
+  EXPECT_EQ(r.stats.discovery_latency.mean(), 0x1.205bc01a3b665p-9);
+  EXPECT_EQ(r.stats.discovery_latency.max(), 0x1.89374bc6bp-9);
+  EXPECT_EQ(r.stats.route_hops.count(), 20u);
+  EXPECT_EQ(r.stats.route_hops.mean(), 0x1.1999999999999p+1);
+  EXPECT_EQ(r.stats.route_hops.max(), 3.0);
+}
+
+TEST(CbrpExperimentTest, ShardedRunMatchesSerial) {
+  CbrpExperimentParams params = small_mobile_params();
+  const auto serial =
+      run_cbrp_experiment(params, scenario::factory_by_name("mobic"));
+  params.scenario.sim_jobs = 4;
+  const auto sharded =
+      run_cbrp_experiment(params, scenario::factory_by_name("mobic"));
+  EXPECT_TRUE(sharded.run == serial.run);
+  expect_same_stats(sharded.stats, serial.stats);
+}
+
+// Faults, batteries and obs are Scenario knobs: CBRP runs honour them
+// because they are assembled by run_scenario like every other run.
+TEST(CbrpExperimentTest, FaultsAndBatteriesReachCbrp) {
+  CbrpExperimentParams params = small_mobile_params();
+  const auto clean =
+      run_cbrp_experiment(params, scenario::factory_by_name("sd_dwca"));
+  EXPECT_FALSE(clean.run.metrics.empty());
+#if MANET_OBS_ENABLED
+  // The network's hooks see CBRP's unicast control and data traffic.
+  EXPECT_GT(clean.run.metrics.counter_or("msg.sent"), 0u);
+#endif
+
+  auto& sc = params.scenario;
+  sc.faults.crash_rate = 0.05;
+  sc.faults.mean_downtime = 20.0;
+  sc.faults.loss_burst_rate = 0.05;
+  sc.faults.loss_burst_duration = 8.0;
+  sc.energy.enabled = true;
+  sc.energy.capacity_j = 3.0;
+  sc.energy.capacity_jitter = 0.5;
+  sc.energy.idle_drain_w = 0.005;
+  sc.energy.hello_tx_cost_j = 0.02;
+  sc.energy.hello_rx_cost_j = 0.005;
+  sc.energy.msg_tx_cost_j = 0.01;
+  const auto harsh =
+      run_cbrp_experiment(params, scenario::factory_by_name("sd_dwca"));
+  EXPECT_GT(harsh.run.faults_injected, 0u);
+  EXPECT_GT(harsh.run.battery_deaths, 0u);
+  EXPECT_FALSE(harsh.run.metrics.empty());
+  EXPECT_NE(counters(harsh.stats), counters(clean.stats));
 }
 
 }  // namespace
