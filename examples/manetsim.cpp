@@ -40,6 +40,7 @@
 #include "scenario/runner.h"
 #include "scenario/timeline.h"
 #include "scenario/worker.h"
+#include "util/assert.h"
 #include "util/flags.h"
 #include "util/table.h"
 
@@ -119,6 +120,111 @@ scenario::Scenario scenario_from_flags(util::Flags& flags) {
   return s;
 }
 
+constexpr const char* kUsage = R"(usage: manetsim [options]
+
+Runs one clustering scenario and prints its report. Flags override the
+values of --config.
+
+scenario:
+  --config PATH           read a scenario config file first
+  --nodes N               node count
+  --field M               side of the square field (m)
+  --mobility KIND         static, rwp, walk, direction, gauss_markov, rpgm,
+                          highway, manhattan
+  --speed V               maximum speed (m/s)
+  --pause S               pause time (s)
+  --range M               transmission range (m)
+  --time S                simulated seconds
+  --seed N                scenario seed
+  --bi S                  broadcast interval (s)
+  --tp S                  neighbor timeout (s)
+  --loss P                per-reception loss probability
+  --collision-window S    MAC collision window (s)
+  --propagation NAME      free_space, two_ray, log_distance, shadowing
+  --sigma DB              shadowing sigma (dB)
+  --sim-jobs N            intra-run worker threads (0 = auto)
+
+run:
+  --algorithm NAME        clustering algorithm (default mobic)
+  --compare               run both paper algorithms
+  --jobs N                concurrent runs under --compare (0 = auto)
+  --write-config PATH     write the scenario as a config file and exit
+  --events-csv PATH       export role and affiliation events
+  --snapshots-csv PATH    export periodic cluster snapshots
+  --snapshot-period S     snapshot period (default 10)
+  --trace-out PATH        Chrome-trace JSON ({seed}, {tag} expand per run)
+  --trace-level LEVEL     off, spans, full
+  --metrics-out PATH      metrics JSONL
+
+sweep farm:
+  --cache-dir DIR         result cache (--compare)
+  --resume                resume from the cache
+  --resume-verify N       recompute N cached cells and compare
+  --workers N             subprocess workers (--compare)
+  --worker-bin PATH       worker binary (default: this one)
+  --worker                serve run requests on stdin/stdout
+  --scrub-cache           verify the cells of --cache-dir and exit
+  --scrub-repair          recompute corrupt cells during --scrub-cache
+
+exit status: 0 ok, 1 run or cache failure, 2 usage error
+)";
+
+// Every flag, read once up front so that a malformed or unknown flag is a
+// usage error before anything runs.
+struct Cli {
+  bool worker = false;
+  bool scrub_cache = false;
+  bool scrub_repair = false;
+  scenario::Scenario s;
+  std::string algorithm;
+  bool compare = false;
+  std::string write_config_path;
+  std::string events_csv;
+  std::string snapshots_csv;
+  double snapshot_period = 10.0;
+  int jobs = 0;
+  std::string metrics_out;
+  // Sweep-farm flags (honored on the --compare matrix path, which routes
+  // through the Runner; the timeline path stays serial and uncached).
+  std::string cache_dir;
+  bool resume = false;
+  int resume_verify = -1;
+  int workers = 0;
+  std::string worker_bin;
+};
+
+Cli parse_cli(util::Flags& flags) {
+  Cli cli;
+  // Sweep-farm service mode is checked first — a worker must never parse
+  // the interactive flag set.
+  cli.worker = flags.get_bool("worker", false);
+  if (cli.worker) {
+    return cli;
+  }
+  cli.cache_dir = flags.get_string("cache-dir", "");
+  cli.scrub_cache = flags.get_bool("scrub-cache", false);
+  if (cli.scrub_cache) {
+    cli.scrub_repair = flags.get_bool("scrub-repair", false);
+    flags.finish();
+    return cli;
+  }
+  cli.s = scenario_from_flags(flags);
+  cli.algorithm = flags.get_string("algorithm", "mobic");
+  cli.compare = flags.get_bool("compare", false);
+  cli.write_config_path = flags.get_string("write-config", "");
+  cli.events_csv = flags.get_string("events-csv", "");
+  cli.snapshots_csv = flags.get_string("snapshots-csv", "");
+  cli.snapshot_period = flags.get_double("snapshot-period", 10.0);
+  cli.jobs = flags.get_int("jobs", 0);
+  cli.metrics_out = flags.get_string("metrics-out", "");
+  cli.resume = flags.get_bool("resume", false);
+  cli.resume_verify = flags.get_int("resume-verify", -1);
+  cli.workers = flags.get_int("workers", 0);
+  cli.worker_bin = flags.get_string("worker-bin", "");
+  flags.finish();
+  return cli;
+}
+
 void print_report(const std::string& alg, const scenario::RunResult& r) {
   util::Table table({"metric", "value"});
   table.add("clusterhead changes (CS)", r.ch_changes);
@@ -147,12 +253,21 @@ void print_report(const std::string& alg, const scenario::RunResult& r) {
 
 int main(int argc, char** argv) {
   util::Flags flags(argc, argv);
+  Cli cli;
+  try {
+    if (flags.get_bool("help", false)) {
+      std::cout << kUsage;
+      return 0;
+    }
+    cli = parse_cli(flags);
+  } catch (const util::CheckError& e) {
+    std::cerr << "manetsim: " << e.what() << "\nsee manetsim --help\n";
+    return 2;
+  }
 
   // Sweep-farm service mode: serve length-prefixed run requests on
   // stdin/stdout until the parent closes the pipe (scenario/worker.h).
-  // Checked first — a worker must never print the banner or parse the
-  // interactive flag set.
-  if (flags.get_bool("worker", false)) {
+  if (cli.worker) {
     return scenario::serve_worker(STDIN_FILENO, STDOUT_FILENO);
   }
 
@@ -160,39 +275,22 @@ int main(int argc, char** argv) {
   // exit. Exit code 1 when corruption survives the pass (corrupt cells
   // without --scrub-repair, or unrepairable ones with it), so CI can gate
   // on cache health.
-  if (flags.get_bool("scrub-cache", false)) {
-    const std::string dir = flags.get_string("cache-dir", "");
-    const bool repair = flags.get_bool("scrub-repair", false);
-    flags.finish();
-    if (dir.empty()) {
+  if (cli.scrub_cache) {
+    if (cli.cache_dir.empty()) {
       std::cerr << "--scrub-cache requires --cache-dir\n";
       return 2;
     }
     const scenario::ScrubReport report =
-        scenario::scrub_cache(dir, repair, &std::cout);
+        scenario::scrub_cache(cli.cache_dir, cli.scrub_repair, &std::cout);
     const std::size_t unresolved =
-        repair ? report.unrepairable : report.corrupt;
+        cli.scrub_repair ? report.unrepairable : report.corrupt;
     return unresolved == 0 ? 0 : 1;
   }
 
-  scenario::Scenario s = scenario_from_flags(flags);
-  const std::string algorithm = flags.get_string("algorithm", "mobic");
-  const bool compare = flags.get_bool("compare", false);
-  const std::string write_config_path = flags.get_string("write-config", "");
-  const std::string events_csv = flags.get_string("events-csv", "");
-  const std::string snapshots_csv = flags.get_string("snapshots-csv", "");
-  const double snapshot_period = flags.get_double("snapshot-period", 10.0);
-  const int jobs = flags.get_int("jobs", 0);
-  const std::string metrics_out = flags.get_string("metrics-out", "");
-  // Sweep-farm flags (honored on the --compare matrix path, which routes
-  // through the Runner; the timeline path stays serial and uncached).
-  const std::string cache_dir = flags.get_string("cache-dir", "");
-  const bool resume = flags.get_bool("resume", false);
-  const int resume_verify = flags.get_int("resume-verify", -1);
-  const int workers = flags.get_int("workers", 0);
-  const std::string worker_bin = flags.get_string("worker-bin", "");
-  flags.finish();
-
+  const scenario::Scenario& s = cli.s;
+  const std::string& events_csv = cli.events_csv;
+  const std::string& snapshots_csv = cli.snapshots_csv;
+  const std::string& metrics_out = cli.metrics_out;
   std::ofstream metrics_stream;
   if (!metrics_out.empty()) {
     metrics_stream.open(metrics_out, std::ios::trunc);
@@ -210,10 +308,11 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (!write_config_path.empty()) {
-    std::ofstream out(write_config_path);
+  if (!cli.write_config_path.empty()) {
+    std::ofstream out(cli.write_config_path);
     scenario::write_config(out, s);
-    std::cout << "Wrote scenario config to " << write_config_path << "\n";
+    std::cout << "Wrote scenario config to " << cli.write_config_path
+              << "\n";
     return 0;
   }
 
@@ -228,7 +327,7 @@ int main(int argc, char** argv) {
     scenario::TimelineRecorder recorder;
     const auto on_start = [&](scenario::LiveContext& ctx) {
       if (want_timeline) {
-        recorder.schedule_snapshots(ctx, snapshot_period, s.sim_time);
+        recorder.schedule_snapshots(ctx, cli.snapshot_period, s.sim_time);
       }
     };
     const auto result =
@@ -255,16 +354,16 @@ int main(int argc, char** argv) {
     }
   };
 
-  if (compare && !want_timeline) {
+  if (cli.compare && !want_timeline) {
     // No timeline export: run both algorithms concurrently and report in
     // algorithm order.
     scenario::RunnerOptions opts;
-    opts.jobs = jobs;
-    opts.cache_dir = cache_dir;
-    opts.resume = resume;
-    opts.resume_verify = resume_verify;
-    opts.workers = workers;
-    opts.worker_bin = worker_bin;
+    opts.jobs = cli.jobs;
+    opts.cache_dir = cli.cache_dir;
+    opts.resume = cli.resume;
+    opts.resume_verify = cli.resume_verify;
+    opts.workers = cli.workers;
+    opts.worker_bin = cli.worker_bin;
     const scenario::Runner runner(opts);
     const auto algorithms = scenario::paper_algorithms();
     const auto matrix = runner.run_matrix(s, algorithms, 1);
@@ -272,14 +371,14 @@ int main(int argc, char** argv) {
       print_report(algorithms[a].name, matrix[a][0]);
       write_metrics(algorithms[a].name, matrix[a][0]);
     }
-  } else if (compare) {
+  } else if (cli.compare) {
     // TimelineRecorder hooks into the live run, so timeline exports stay
     // on the serial path.
     for (const auto& alg : scenario::paper_algorithms()) {
       run_one(alg.name);
     }
   } else {
-    run_one(algorithm);
+    run_one(cli.algorithm);
   }
   return 0;
 }

@@ -73,15 +73,6 @@ NeighborEntry* NeighborTable::find_mutable(NodeId id) {
   return (it == entries_.end() || it->id != id) ? nullptr : &*it;
 }
 
-std::vector<const NeighborEntry*> NeighborTable::entries_by_id() const {
-  std::vector<const NeighborEntry*> out;
-  out.reserve(entries_.size());
-  for (const NeighborEntry& e : entries_) {
-    out.push_back(&e);
-  }
-  return out;
-}
-
 void NeighborTable::ids_into(std::vector<NodeId>& out) const {
   out.clear();
   for (const NeighborEntry& e : entries_) {

@@ -84,9 +84,6 @@ class NeighborTable {
   /// across runs). The reference is invalidated by any mutation.
   const std::vector<NeighborEntry>& entries() const { return entries_; }
 
-  /// Legacy pointer view, ascending id (kept for tests; allocates).
-  std::vector<const NeighborEntry*> entries_by_id() const;
-
   /// Overwrites `out` with the neighbor ids, ascending. Reuses `out`'s
   /// capacity — the allocation-free variant of ids().
   void ids_into(std::vector<NodeId>& out) const;

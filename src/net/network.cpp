@@ -24,6 +24,7 @@ Network::Network(sim::Simulator& sim, radio::Medium medium, geom::Rect field,
                  NetworkParams params, util::Rng rng)
     : sim_(sim),
       medium_(std::move(medium)),
+      stochastic_medium_(medium_.propagation().stochastic()),
       field_(field),
       params_(params),
       rng_(std::move(rng)),
@@ -227,6 +228,68 @@ void Network::deliver_batch(DeliveryBatch* batch) {
   release_batch(batch);
 }
 
+double Network::scan_radius(sim::Time t) const {
+  const double pad = 2.0 * params_.speed_bound * (t - snapshot_time_) + 1.0;
+  return medium_.max_delivery_range_m() + pad;
+}
+
+geom::Vec2 Network::scan(Node& sender, sim::Time now) {
+  const geom::Vec2 sender_pos = sender.position(now);
+  query_buf_.clear();
+  grid_.query_radius(snapshot_[sender.id()], scan_radius(now), query_buf_);
+  scan_.clear();
+  for (const std::size_t idx : query_buf_) {
+    if (idx != sender.id()) {
+      add_candidate(sender_pos, *nodes_[idx], now);
+    }
+  }
+  return sender_pos;
+}
+
+void Network::add_candidate(geom::Vec2 sender_pos, Node& receiver,
+                            sim::Time now) {
+  if (!receiver.alive()) {
+    return;
+  }
+  const geom::Vec2 receiver_pos = receiver.position(now);
+  ScanCandidate c;
+  c.idx = receiver.id();
+  c.dist = geom::distance(sender_pos, receiver_pos);
+  if (c.dist > medium_.max_delivery_range_m()) {
+    return;
+  }
+  c.x = receiver_pos.x;
+  c.y = receiver_pos.y;
+  if (!stochastic_medium_) {
+    // Deterministic media ignore the fading RNG: the median power is the
+    // received power.
+    c.rx_power_w = medium_.median_rx_power_w(c.dist);
+    c.delivered = c.rx_power_w >= medium_.rx_threshold_w() ? 1 : 0;
+  }
+  scan_.push_back(c);
+}
+
+Network::LinkDrop Network::decide_link(NodeId sender, geom::Vec2 sender_pos,
+                                       sim::Time now, util::Rng& fading,
+                                       ScanCandidate& c) {
+  if (stochastic_medium_) {
+    const auto reception = medium_.try_receive(c.dist, fading);
+    c.delivered = reception.delivered ? 1 : 0;
+    c.rx_power_w = reception.rx_power_w;
+  }
+  if (c.delivered == 0) {
+    return LinkDrop::kFading;
+  }
+  const double p_drop =
+      drop_probability({sender, c.idx, now, sender_pos, {c.x, c.y}});
+  // p >= 1 drops without an RNG draw so that deterministic faults
+  // (partitions, full jam) do not perturb the sender's draw sequence.
+  if (p_drop >= 1.0 || (p_drop > 0.0 && fading.bernoulli(p_drop))) {
+    return LinkDrop::kLoss;
+  }
+  return LinkDrop::kNone;
+}
+
 void Network::broadcast(Node& sender, const HelloPacket& pkt) {
   const sim::Time now = sim_.now();
   ++stats_.beacons_sent;
@@ -237,128 +300,36 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
 
   refresh_grid_if_stale();
 
-  // Sharded runs: commit the speculative scan when a valid one exists —
-  // worker threads already computed the candidate list (grid query, exact
-  // positions, distances, and for deterministic media the threshold
-  // verdict); this thread replays every side effect (counters, hooks, RNG
-  // draws, delivery scheduling) in exactly the order of the serial loop
-  // below, so the two paths are byte-identical by construction. Keep the
-  // loops in lockstep when editing either.
-  if (planner_ != nullptr) {
-    if (const ShardPlanner::ScanJob* job =
-            planner_->try_consume(sender.id(), now)) {
-      const geom::Vec2 sender_pos = job->sender_pos;
-      std::uint32_t delivered = 0;
-      util::Rng& fading = sender.rng();
-      DeliveryBatch* batch = nullptr;
-      immediate_buf_.clear();
-      const bool stochastic = medium_.propagation().stochastic();
-      for (const ShardPlanner::Candidate& c : job->candidates) {
-        Node& receiver = *nodes_[c.idx];
-        if (hooks_ != nullptr) {
-          hooks_->hello_sent->inc();
-        }
-        bool ok = c.delivered != 0;
-        double rx_power_w = c.rx_power_w;
-        if (stochastic) {
-          const auto reception = medium_.try_receive(c.dist, fading);
-          ok = reception.delivered;
-          rx_power_w = reception.rx_power_w;
-        }
-        if (!ok) {
-          ++stats_.hellos_lost;
-          if (hooks_ != nullptr) {
-            hooks_->hello_dropped_fading->inc();
-          }
-          continue;
-        }
-        const double p_drop = drop_probability(
-            {sender.id(), receiver.id(), now, sender_pos, {c.x, c.y}});
-        if (p_drop >= 1.0 || (p_drop > 0.0 && fading.bernoulli(p_drop))) {
-          ++stats_.hellos_lost;
-          if (hooks_ != nullptr) {
-            hooks_->hello_dropped_loss->inc();
-          }
-          continue;
-        }
-        ++delivered;
-        ++stats_.hellos_delivered;
-        if (hooks_ != nullptr) {
-          hooks_->hello_delivered->inc();
-        }
-        if (params_.delivery_delay > 0.0) {
-          if (batch == nullptr) {
-            batch = acquire_batch();
-            batch->pkt = pkt;
-          }
-          batch->receivers.push_back({&receiver, rx_power_w});
-        } else {
-          immediate_buf_.push_back({&receiver, rx_power_w});
-        }
-      }
-      planner_->release(job);
-      if (batch != nullptr) {
-        sim_.schedule_in(params_.delivery_delay,
-                         [this, batch] {
-                         MANET_ASSERT_COMMIT_ROLE();
-                         deliver_batch(batch);
-                       });
-      }
-      for (std::size_t i = 0; i < immediate_buf_.size(); ++i) {
-        const DeliveryBatch::Rx rx = immediate_buf_[i];
-        rx.node->receive(pkt, rx.rx_power_w);
-      }
-      stats_.sum_degree_samples += delivered;
-      ++stats_.degree_samples;
-      return;
-    }
-  }
-
-  const geom::Vec2 sender_pos = sender.position(now);
-  // Pad the query radius: both endpoints may have moved since the snapshot.
-  const double staleness = now - snapshot_time_;
-  const double pad = 2.0 * params_.speed_bound * staleness + 1.0;
-  const double radius = medium_.max_delivery_range_m() + pad;
-
-  query_buf_.clear();
-  grid_.query_radius(snapshot_[sender.id()], radius, query_buf_);
+  // Sharded runs consume the planner's speculative scan when a valid one
+  // exists; otherwise the scan runs here. Both give the same candidate
+  // list, and the one loop below replays every side effect over it
+  // (counters, hooks, RNG draws, delivery scheduling), so the two paths
+  // are byte-identical by construction.
+  const ShardPlanner::ScanJob* job =
+      planner_ != nullptr ? planner_->try_consume(sender.id(), now) : nullptr;
+  const geom::Vec2 sender_pos =
+      job != nullptr ? job->sender_pos : scan(sender, now);
+  const std::vector<ScanCandidate>& candidates =
+      job != nullptr ? job->candidates : scan_;
 
   std::uint32_t delivered = 0;
   util::Rng& fading = sender.rng();
   DeliveryBatch* batch = nullptr;
   immediate_buf_.clear();
-  for (const std::size_t idx : query_buf_) {
-    Node& receiver = *nodes_[idx];
-    if (receiver.id() == sender.id() || !receiver.alive()) {
-      continue;
-    }
-    const geom::Vec2 receiver_pos = receiver.position(now);
-    const double dist = geom::distance(sender_pos, receiver_pos);
-    if (dist > medium_.max_delivery_range_m()) {
-      continue;
-    }
-    // From here on this candidate is a delivery attempt: exactly one of
+  for (ScanCandidate c : candidates) {
+    // Every candidate is a delivery attempt: exactly one of
     // hello.delivered / hello.dropped.fading / hello.dropped.loss follows,
     // the identity test_obs_differential.cpp checks against hello.sent.
     if (hooks_ != nullptr) {
       hooks_->hello_sent->inc();
     }
-    const auto reception = medium_.try_receive(dist, fading);
-    if (!reception.delivered) {
+    const LinkDrop drop = decide_link(sender.id(), sender_pos, now, fading, c);
+    if (drop != LinkDrop::kNone) {
       ++stats_.hellos_lost;
       if (hooks_ != nullptr) {
-        hooks_->hello_dropped_fading->inc();
-      }
-      continue;
-    }
-    const double p_drop = drop_probability(
-        {sender.id(), receiver.id(), now, sender_pos, receiver_pos});
-    // p >= 1 drops without an RNG draw so that deterministic faults
-    // (partitions, full jam) do not perturb the sender's draw sequence.
-    if (p_drop >= 1.0 || (p_drop > 0.0 && fading.bernoulli(p_drop))) {
-      ++stats_.hellos_lost;
-      if (hooks_ != nullptr) {
-        hooks_->hello_dropped_loss->inc();
+        (drop == LinkDrop::kFading ? hooks_->hello_dropped_fading
+                                   : hooks_->hello_dropped_loss)
+            ->inc();
       }
       continue;
     }
@@ -367,15 +338,19 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
     if (hooks_ != nullptr) {
       hooks_->hello_delivered->inc();
     }
+    const DeliveryBatch::Rx rx{nodes_[c.idx].get(), c.rx_power_w};
     if (params_.delivery_delay > 0.0) {
       if (batch == nullptr) {
         batch = acquire_batch();
         batch->pkt = pkt;  // one copy per broadcast, capacity reused
       }
-      batch->receivers.push_back({&receiver, reception.rx_power_w});
+      batch->receivers.push_back(rx);
     } else {
-      immediate_buf_.push_back({&receiver, reception.rx_power_w});
+      immediate_buf_.push_back(rx);
     }
+  }
+  if (job != nullptr) {
+    planner_->release(job);
   }
   // The per-receiver delivery events all carried the identical timestamp
   // and were pushed contiguously, so folding them into one batch event
@@ -388,10 +363,10 @@ void Network::broadcast(Node& sender, const HelloPacket& pkt) {
                          deliver_batch(batch);
                        });
   }
-  // Zero-delay deliveries run after the scan: a receiving agent that
-  // transmits in its handler may refresh the grid and reuse query_buf_,
-  // which previously mutated the container mid-iteration. Indexed loop: a
-  // reentrant broadcast() clears the buffer, which simply ends this pass.
+  // Zero-delay deliveries run after the commit loop: a receiving agent that
+  // transmits in its handler may refresh the grid and reuse the scan
+  // buffers. Indexed loop: a reentrant broadcast() clears immediate_buf_,
+  // which simply ends this pass.
   for (std::size_t i = 0; i < immediate_buf_.size(); ++i) {
     const DeliveryBatch::Rx rx = immediate_buf_[i];
     rx.node->receive(pkt, rx.rx_power_w);
@@ -419,31 +394,28 @@ std::size_t Network::send(Node& sender, Message msg) {
     }
   }
 
-  util::Rng& fading = sender.rng();
-  const geom::Vec2 sender_pos = sender.position(now);
+  // Unicast scans its one addressee, broadcast the whole neighborhood.
+  geom::Vec2 sender_pos;
+  if (msg.dst != kInvalidNode) {
+    MANET_CHECK(msg.dst < nodes_.size(), "unicast to unknown node");
+    MANET_CHECK(msg.dst != sender.id(), "unicast to self");
+    sender_pos = sender.position(now);
+    scan_.clear();
+    add_candidate(sender_pos, *nodes_[msg.dst], now);
+  } else {
+    refresh_grid_if_stale();
+    sender_pos = scan(sender, now);
+  }
 
   // The payload is shared by every receiver of this send: one pooled batch,
   // acquired lazily (only if somebody actually receives), holding the
   // Message once plus the receiver list — no per-send heap allocation.
+  util::Rng& fading = sender.rng();
   MessageBatch* batch = nullptr;
-
-  const auto try_deliver = [&](Node& receiver) -> bool {
-    if (!receiver.alive()) {
-      return false;
-    }
-    const geom::Vec2 receiver_pos = receiver.position(now);
-    const double dist = geom::distance(sender_pos, receiver_pos);
-    if (dist > medium_.max_delivery_range_m()) {
-      return false;
-    }
-    const auto reception = medium_.try_receive(dist, fading);
-    if (!reception.delivered) {
-      return false;
-    }
-    const double p_drop = drop_probability(
-        {sender.id(), receiver.id(), now, sender_pos, receiver_pos});
-    if (p_drop >= 1.0 || (p_drop > 0.0 && fading.bernoulli(p_drop))) {
-      return false;
+  for (ScanCandidate c : scan_) {
+    if (decide_link(sender.id(), sender_pos, now, fading, c) !=
+        LinkDrop::kNone) {
+      continue;
     }
     ++stats_.messages_delivered;
     if (hooks_ != nullptr) {
@@ -453,63 +425,30 @@ std::size_t Network::send(Node& sender, Message msg) {
       batch = acquire_message_batch();
       batch->msg = msg;  // one copy per send, vector capacity reused
     }
-    batch->receivers.push_back(&receiver);
-    return true;
-  };
-
-  // All receivers of one send carry the identical delivery timestamp and
-  // were (previously) pushed contiguously, so folding them into one batch
-  // event preserves the (time, insertion-seq) FIFO order against every
-  // other event in the queue.
-  const auto flush = [&]() {
-    if (batch != nullptr) {
-      sim_.schedule_in(params_.delivery_delay,
-                       [this, batch] {
-                         MANET_ASSERT_COMMIT_ROLE();
-                         deliver_message_batch(batch);
-                       });
-    }
-  };
-
-  if (msg.dst != kInvalidNode) {
-    MANET_CHECK(msg.dst < nodes_.size(), "unicast to unknown node");
-    MANET_CHECK(msg.dst != sender.id(), "unicast to self");
-    const std::size_t delivered = try_deliver(*nodes_[msg.dst]) ? 1 : 0;
-    flush();
-    return delivered;
+    batch->receivers.push_back(nodes_[c.idx].get());
   }
-
-  refresh_grid_if_stale();
-  const double staleness = now - snapshot_time_;
-  const double pad = 2.0 * params_.speed_bound * staleness + 1.0;
-  query_buf_.clear();
-  grid_.query_radius(snapshot_[sender.id()],
-                     medium_.max_delivery_range_m() + pad, query_buf_);
-  std::size_t delivered = 0;
-  for (const std::size_t idx : query_buf_) {
-    if (idx == sender.id()) {
-      continue;
-    }
-    delivered += try_deliver(*nodes_[idx]) ? 1 : 0;
+  if (batch == nullptr) {
+    return 0;
   }
-  flush();
-  return delivered;
+  // All receivers of one send carry the identical delivery timestamp, so
+  // one batch event preserves the (time, insertion-seq) FIFO order against
+  // every other event in the queue.
+  sim_.schedule_in(params_.delivery_delay,
+                   [this, batch] {
+                     MANET_ASSERT_COMMIT_ROLE();
+                     deliver_message_batch(batch);
+                   });
+  return batch->receivers.size();
 }
 
 std::vector<std::vector<NodeId>> Network::true_adjacency(sim::Time t) {
-  std::vector<geom::Vec2> pos(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    pos[i] = nodes_[i]->position(t);
-  }
-  const double range = medium_.nominal_range_m();
+  AdjacencyScratch csr;
+  true_adjacency_into(t, csr);
   std::vector<std::vector<NodeId>> adj(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    for (std::size_t j = i + 1; j < nodes_.size(); ++j) {
-      if (geom::distance(pos[i], pos[j]) <= range) {
-        adj[i].push_back(static_cast<NodeId>(j));
-        adj[j].push_back(static_cast<NodeId>(i));
-      }
-    }
+  for (std::size_t i = 0; i < adj.size(); ++i) {
+    const auto row = csr.neighbors(i);
+    adj[i].assign(row.begin(), row.end());
+    std::sort(adj[i].begin(), adj[i].end());
   }
   return adj;
 }

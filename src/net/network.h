@@ -10,6 +10,15 @@
 // candidate set; candidates are then re-checked with exact geometry, so the
 // grid is a pure optimization (padding covers node motion since the
 // snapshot).
+//
+// Every transmission runs in two steps. A scan lists the candidates (live
+// receivers within the maximum delivery range, in grid-query order, with
+// the received power and threshold verdict precomputed for deterministic
+// media): the serial scan here, or the shard planner's speculative scan
+// (net/shard_planner.h), which fills the same list. One commit loop then
+// applies reception, the loss stack and delivery to that list, whichever
+// scan produced it; send() reuses the serial scan and the same per-link
+// decision.
 #pragma once
 
 #include <memory>
@@ -29,6 +38,18 @@ namespace manet::net {
 
 class EnergyModel;
 class ShardPlanner;
+
+/// One delivery candidate of a scan: a live receiver within the medium's
+/// maximum delivery range, in grid-query order. Network::scan and
+/// ShardPlanner::run_scan fill the same list.
+struct ScanCandidate {
+  std::uint32_t idx = 0;       // receiver node id
+  std::uint8_t delivered = 0;  // threshold verdict (deterministic media)
+  double dist = 0.0;           // exact sender-receiver distance
+  double rx_power_w = 0.0;     // received power (deterministic media)
+  double x = 0.0;              // exact receiver position at send time
+  double y = 0.0;
+};
 
 struct NetworkParams {
   double broadcast_interval = 2.0;  // BI, seconds (paper: 2.0)
@@ -104,8 +125,9 @@ class Network {
 
   const NetworkStats& stats() const { return stats_; }
 
-  /// Ground-truth connectivity at time t (positions within nominal range):
-  /// used by validators and the routing experiments, not by the protocols.
+  /// Ground-truth connectivity at time t (positions within nominal range),
+  /// one ascending row per node, built from true_adjacency_into(): used by
+  /// validators and the routing experiments, not by the protocols.
   std::vector<std::vector<NodeId>> true_adjacency(sim::Time t)
       MANET_COMMIT_ONLY;
 
@@ -219,8 +241,31 @@ class Network {
     std::vector<Node*> receivers;
   };
 
+  /// Why a candidate link carried no frame (see decide_link()).
+  enum class LinkDrop : std::uint8_t { kNone, kFading, kLoss };
+
   /// Called by a node when its beacon timer fires.
   void broadcast(Node& sender, const HelloPacket& pkt) MANET_COMMIT_ONLY;
+
+  /// Grid query radius for a scan at time `t`: the maximum delivery range
+  /// padded by how far both endpoints may have moved since the snapshot.
+  double scan_radius(sim::Time t) const MANET_COMMIT_ONLY;
+
+  /// The serial scan: overwrites scan_ with the candidates of a
+  /// transmission by `sender` at `now` and returns the sender's position.
+  geom::Vec2 scan(Node& sender, sim::Time now) MANET_COMMIT_ONLY;
+
+  /// Appends `receiver` to scan_ if it is alive and within the maximum
+  /// delivery range of `sender_pos`.
+  void add_candidate(geom::Vec2 sender_pos, Node& receiver, sim::Time now)
+      MANET_COMMIT_ONLY;
+
+  /// The per-link reception decision for Hellos and Messages alike: the
+  /// threshold verdict (a fading draw from `fading`, for stochastic media
+  /// only, which also sets c.rx_power_w), then the loss stack, where
+  /// p >= 1 drops without a draw.
+  LinkDrop decide_link(NodeId sender, geom::Vec2 sender_pos, sim::Time now,
+                       util::Rng& fading, ScanCandidate& c) MANET_COMMIT_ONLY;
 
   /// Called by nodes when a jittered broadcast is scheduled / liveness
   /// flips; forwarded to the shard planner (no-ops when serial).
@@ -246,6 +291,7 @@ class Network {
 
   sim::Simulator& sim_;
   radio::Medium medium_;
+  bool stochastic_medium_;  // fading is drawn at commit, per candidate
   geom::Rect field_;
   NetworkParams params_;
   util::Rng rng_;
@@ -260,6 +306,7 @@ class Network {
   sim::Time snapshot_time_ = -1.0;
   bool snapshot_valid_ = false;
   std::vector<std::size_t> query_buf_;
+  std::vector<ScanCandidate> scan_;  // the serial scan's candidates
 
   // Delivery-batch pool: batches_ owns (stable addresses for the scheduled
   // closures), free_batches_ recycles. In-flight batches are bounded by
@@ -270,8 +317,8 @@ class Network {
   std::vector<std::unique_ptr<MessageBatch>> message_batches_;
   std::vector<MessageBatch*> free_message_batches_;
   // Scratch receiver list for the zero-delay path: deliveries happen after
-  // the candidate scan so a receiving agent that transmits cannot clobber
-  // query_buf_ mid-iteration.
+  // the commit loop so a receiving agent that transmits cannot clobber
+  // scan_ mid-iteration.
   std::vector<DeliveryBatch::Rx> immediate_buf_;
   // Fallback-Hello pool (see acquire_hello()).
   std::vector<std::unique_ptr<HelloPacket>> hello_pool_;

@@ -100,14 +100,7 @@ void Node::beacon() {
   // configs, and never speculated on (the sender's scan slot is busy).
   if (beacon_in_flight_) {
     HelloPacket* pkt = network_->acquire_hello();
-    pkt->sender = id_;
-    pkt->seq = ++seq_;
-    pkt->weight = 0.0;
-    pkt->role = AdvertRole::kUndecided;
-    pkt->cluster_head = kInvalidNode;
-    pkt->extra_weight_count = 0;
-    table_.ids_into(pkt->neighbors);
-    agent_->on_beacon(*this, *pkt);
+    fill_hello(*pkt);
     simulator().schedule_in(
         rng_.uniform(0.0, network_->params().per_beacon_jitter),
         [this, pkt]() {
@@ -120,16 +113,8 @@ void Node::beacon() {
     return;
   }
 
-  // Steady-state path: reuse the scratch packet (same field values a fresh
-  // HelloPacket would carry; the agent overwrites its advertisement).
-  scratch_pkt_.sender = id_;
-  scratch_pkt_.seq = ++seq_;
-  scratch_pkt_.weight = 0.0;
-  scratch_pkt_.role = AdvertRole::kUndecided;
-  scratch_pkt_.cluster_head = kInvalidNode;
-  scratch_pkt_.extra_weight_count = 0;
-  table_.ids_into(scratch_pkt_.neighbors);
-  agent_->on_beacon(*this, scratch_pkt_);
+  // Steady-state path: reuse the scratch packet.
+  fill_hello(scratch_pkt_);
 
   // Small per-beacon jitter desynchronizes beacons that drifted into phase
   // (the stagger is fixed at start; this models clock wobble).
@@ -152,60 +137,67 @@ void Node::beacon() {
   }
 }
 
-void Node::receive(const HelloPacket& pkt, double rx_power_w) {
+void Node::fill_hello(HelloPacket& pkt) {
+  // The field values a fresh HelloPacket carries; the agent overwrites its
+  // advertisement.
+  pkt.sender = id_;
+  pkt.seq = ++seq_;
+  pkt.weight = 0.0;
+  pkt.role = AdvertRole::kUndecided;
+  pkt.cluster_head = kInvalidNode;
+  pkt.extra_weight_count = 0;
+  table_.ids_into(pkt.neighbors);
+  agent_->on_beacon(*this, pkt);
+}
+
+bool Node::admit_arrival(sim::Time now, bool hello) {
   if (!alive_) {
-    return;
+    return false;
   }
-  util::ScopedSimNode failure_context(id_);
-  const sim::Time now = simulator().now();
   // Receiving costs battery whether or not the frame survives the collision
   // check below (the radio listened either way). A battery emptied here
-  // fails the node before the packet is processed.
+  // fails the node before the frame is processed.
   if (EnergyModel* energy = network_->energy(); energy != nullptr) {
-    energy->drain_hello_rx(id_, now);
+    if (hello) {
+      energy->drain_hello_rx(id_, now);
+    } else {
+      energy->drain_msg_rx(id_, now);
+    }
     if (!alive_) {
-      return;
+      return false;
     }
   }
-  // Simplified MAC collision model: an arrival overlapping the previous
-  // one (within the collision window) is destroyed. The first frame is
-  // assumed captured; the newcomer is lost but still occupies the medium.
+  // Simplified MAC collision model, shared by Hellos and Messages: an
+  // arrival overlapping the previous one (within the collision window) is
+  // destroyed. The first frame is assumed captured; the newcomer is lost
+  // but still occupies the medium.
   const double window = network_->params().collision_window;
   if (window > 0.0 && seen_rx_ && now - last_rx_time_ < window) {
     last_rx_time_ = now;
     network_->note_collision();
-    return;
+    return false;
   }
   last_rx_time_ = now;
   seen_rx_ = true;
+  return true;
+}
+
+void Node::receive(const HelloPacket& pkt, double rx_power_w) {
+  util::ScopedSimNode failure_context(id_);
+  const sim::Time now = simulator().now();
+  if (!admit_arrival(now, /*hello=*/true)) {
+    return;
+  }
   ++hellos_received_;
   table_.on_hello(now, pkt, rx_power_w);
   agent_->on_hello(*this, pkt, rx_power_w);
 }
 
 void Node::receive_message(const Message& msg) {
-  if (!alive_) {
-    return;
-  }
   util::ScopedSimNode failure_context(id_);
-  // Messages share the medium with Hellos: the same collision window
-  // applies to their arrivals.
-  const sim::Time now = simulator().now();
-  if (EnergyModel* energy = network_->energy(); energy != nullptr) {
-    energy->drain_msg_rx(id_, now);
-    if (!alive_) {
-      return;
-    }
+  if (admit_arrival(simulator().now(), /*hello=*/false)) {
+    agent_->on_message(*this, msg);
   }
-  const double window = network_->params().collision_window;
-  if (window > 0.0 && seen_rx_ && now - last_rx_time_ < window) {
-    last_rx_time_ = now;
-    network_->note_collision();
-    return;
-  }
-  last_rx_time_ = now;
-  seen_rx_ = true;
-  agent_->on_message(*this, msg);
 }
 
 }  // namespace manet::net

@@ -75,6 +75,14 @@ class Node {
   void start(Network& network, sim::Time first_beacon_at) MANET_COMMIT_ONLY;
 
   void beacon() MANET_COMMIT_ONLY;
+  /// Fills an outgoing Hello (scratch or pooled fallback packet) and lets
+  /// the agent write its advertisement.
+  void fill_hello(HelloPacket& pkt) MANET_COMMIT_ONLY;
+  /// The reception prelude shared by Hellos and Messages: dead nodes hear
+  /// nothing, listening drains the battery (which may kill the node), and
+  /// an arrival inside the collision window is destroyed. True when the
+  /// frame survives.
+  bool admit_arrival(sim::Time now, bool hello) MANET_COMMIT_ONLY;
   void receive(const HelloPacket& pkt, double rx_power_w) MANET_COMMIT_ONLY;
   void receive_message(const Message& msg) MANET_COMMIT_ONLY;
 

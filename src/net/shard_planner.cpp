@@ -50,8 +50,6 @@ void ShardPlanner::on_start() {
               "shard planner over a mobility model without unroll support");
   n_shards_ = std::max<std::size_t>(
       1, std::min(pool_.size() * 2, network_.grid_.cell_count()));
-  deterministic_medium_ = !network_.medium_.propagation().stochastic();
-  max_range_ = network_.medium_.max_delivery_range_m();
   alive_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
     alive_[i] = network_.nodes_[i]->alive() ? 1 : 0;
@@ -141,46 +139,38 @@ void ShardPlanner::run_scan(ScanJob* job) const {
     }
     job->cache_epoch = job->epoch;
   }
+  const radio::Medium& medium = network_.medium_;
+  const bool deterministic = !network_.stochastic_medium_;
   for (const std::size_t idx : job->query) {
     if (idx == job->sender || alive_[idx] == 0) {
       continue;
     }
     const geom::Vec2 rx_pos = sample_position(idx, t);
-    Candidate c;
+    ScanCandidate c;
     c.idx = static_cast<std::uint32_t>(idx);
     c.x = rx_pos.x;
     c.y = rx_pos.y;
-    if (deterministic_medium_) {
-      PairCacheEntry& e = job->pair_cache[idx % job->pair_cache.size()];
-      const bool hit = e.idx == c.idx && e.sx == job->sender_pos.x &&
-                       e.sy == job->sender_pos.y && e.rx == rx_pos.x &&
-                       e.ry == rx_pos.y;
+    // Stochastic media draw fading from the sender's RNG at commit, in
+    // serial order; their scan precomputes only the geometry.
+    PairCacheEntry& e = job->pair_cache[idx % job->pair_cache.size()];
+    const bool hit = deterministic && e.idx == c.idx &&
+                     e.sx == job->sender_pos.x && e.sy == job->sender_pos.y &&
+                     e.rx == rx_pos.x && e.ry == rx_pos.y;
+    c.dist = hit ? e.dist : geom::distance(job->sender_pos, rx_pos);
+    if (c.dist > medium.max_delivery_range_m()) {
+      continue;
+    }
+    if (deterministic) {
       if (hit) {
-        c.dist = e.dist;
         c.rx_power_w = e.rx_power_w;
       } else {
-        c.dist = geom::distance(job->sender_pos, rx_pos);
-      }
-      if (c.dist > max_range_) {
-        continue;
-      }
-      if (!hit) {
         // Deterministic media ignore the fading RNG, so the median power
-        // IS the power the serial try_receive() would compute.
-        c.rx_power_w = network_.medium_.median_rx_power_w(c.dist);
+        // IS the received power (as in Network::add_candidate).
+        c.rx_power_w = medium.median_rx_power_w(c.dist);
         e = {c.idx,    job->sender_pos.x, job->sender_pos.y, rx_pos.x,
              rx_pos.y, c.dist,            c.rx_power_w};
       }
-      c.delivered =
-          c.rx_power_w >= network_.medium_.rx_threshold_w() ? 1 : 0;
-    } else {
-      // Stochastic media draw fading from the sender's RNG; the draw (and
-      // the verdict) must happen at commit, in serial order. Precompute
-      // only the pure geometry.
-      c.dist = geom::distance(job->sender_pos, rx_pos);
-      if (c.dist > max_range_) {
-        continue;
-      }
+      c.delivered = c.rx_power_w >= medium.rx_threshold_w() ? 1 : 0;
     }
     job->candidates.push_back(c);
   }
@@ -202,13 +192,11 @@ void ShardPlanner::note_pending_broadcast(NodeId sender, sim::Time fire_at) {
   job.sender = sender;
   job.fire_time = fire_at;
   job.epoch = epoch_;
-  // Exactly the serial pad arithmetic, evaluated at the fire time: valid
-  // while no grid refresh intervenes — and a refresh bumps the epoch,
-  // which discards this job at commit.
-  const double staleness = fire_at - network_.snapshot_time_;
-  const double pad = 2.0 * network_.params_.speed_bound * staleness + 1.0;
+  // The serial scan's radius, evaluated at the fire time: valid while no
+  // grid refresh intervenes — and a refresh bumps the epoch, which
+  // discards this job at commit.
   job.center = network_.snapshot_[sender];
-  job.radius = max_range_ + pad;
+  job.radius = network_.scan_radius(fire_at);
   job.shard = static_cast<std::uint32_t>(
       geom::tile_shard(network_.grid_.cell_index(job.center),
                        network_.grid_.cell_count(), n_shards_));

@@ -14,13 +14,13 @@
 //     grid query, exact positions (sampled from planner-owned
 //     structure-of-arrays motion-leg tables — workers never touch mobility
 //     models or nodes), distances, and, for deterministic media, the
-//     received power and threshold verdict, cached per neighbor pair.
-//   * At fire time the simulation thread *commits* the job: it replays
-//     stats, hooks, RNG draws (loss, fading for stochastic media), and
-//     delivery scheduling over the precomputed candidate list in exactly
-//     the serial order. Every observable side effect — counters, RNG
-//     streams, event (time, seq) assignment — is byte-identical to the
-//     serial run by construction, for any worker count.
+//     received power and threshold verdict, cached per neighbor pair. The
+//     result is the candidate list Network::scan would build.
+//   * At fire time Network::broadcast consumes the job and runs its one
+//     commit loop over the list — the loop serial runs use over their own
+//     scan — so every observable side effect (counters, RNG streams,
+//     event (time, seq) assignment) is byte-identical to the serial run by
+//     construction, for any worker count.
 //
 // Epoch barriers keep speculation sound: before any shared input mutates
 // (grid snapshot refresh/rebuild, node liveness flip), the planner drains
@@ -39,6 +39,7 @@
 #include "geom/grid_index.h"
 #include "geom/vec2.h"
 #include "mobility/mobility_model.h"
+#include "net/network.h"
 #include "net/types.h"
 #include "sim/event_queue.h"
 #include "util/thread_pool.h"
@@ -46,21 +47,8 @@
 
 namespace manet::net {
 
-class Network;
-
 class ShardPlanner {
  public:
-  /// One precomputed delivery candidate, in the exact order the serial
-  /// scan would visit it (grid query order).
-  struct Candidate {
-    std::uint32_t idx = 0;       // receiver node id
-    std::uint8_t delivered = 0;  // threshold verdict (deterministic media)
-    double dist = 0.0;           // exact sender-receiver distance
-    double rx_power_w = 0.0;     // received power (deterministic media)
-    double x = 0.0;              // exact receiver position at fire time
-    double y = 0.0;
-  };
-
   /// Cached per-neighbor-pair reception power, keyed by the bit-exact
   /// endpoint positions (hits on paused/static geometry); dropped when the
   /// epoch changes, i.e. at grid-cell-change barriers.
@@ -77,14 +65,14 @@ class ShardPlanner {
     sim::Time fire_time = -1.0;
     std::uint64_t epoch = 0;
     std::uint32_t shard = 0;
-    // Query parameters, frozen at schedule time with the serial pad
-    // arithmetic; valid while the epoch holds.
+    // Query parameters, frozen at schedule time by Network::scan_radius;
+    // valid while the epoch holds.
     geom::Vec2 center;
     double radius = 0.0;
     // Scan results (worker-written, commit-read).
     geom::Vec2 sender_pos;
     std::vector<std::size_t> query;
-    std::vector<Candidate> candidates;
+    std::vector<ScanCandidate> candidates;  // the list Network::scan fills
     std::atomic<int> state{0};
     std::uint64_t cache_epoch = 0;
     std::array<PairCacheEntry, 16> pair_cache;
@@ -167,8 +155,6 @@ class ShardPlanner {
   std::size_t n_shards_ = 1;
   std::uint64_t epoch_ = 1;
   sim::Time horizon_ = -1.0;
-  bool deterministic_medium_ = true;
-  double max_range_ = 0.0;
 
   // Structure-of-arrays motion state, rebuilt at drained barriers and
   // read-only for workers in between: node i's legs occupy

@@ -4,6 +4,7 @@
 #include "cluster/presets.h"
 #include "helpers.h"
 #include "metrics/relative_mobility.h"
+#include "mobility/factory.h"
 #include "mobility/mobility_model.h"
 #include "net/neighbor_table.h"
 #include "net/network.h"
@@ -85,10 +86,10 @@ TEST(NeighborTableTest, IdsAreSorted) {
     t.on_hello(0.0, hello(id), 1e-9);
   }
   EXPECT_EQ(t.ids(), (std::vector<NodeId>{1, 2, 5, 9}));
-  const auto entries = t.entries_by_id();
+  const auto& entries = t.entries();
   ASSERT_EQ(entries.size(), 4u);
-  EXPECT_EQ(entries.front()->id, 1u);
-  EXPECT_EQ(entries.back()->id, 9u);
+  EXPECT_EQ(entries.front().id, 1u);
+  EXPECT_EQ(entries.back().id, 9u);
 }
 
 TEST(NeighborTableTest, EraseAndRejects) {
@@ -138,6 +139,27 @@ TEST(NetworkTest, ReceivedPowerMatchesFriis) {
       metrics::relative_mobility_db(e->last_rx_w, e->prev_rx_w), 0.0);
 }
 
+// The O(N^2) pairwise reference the grid-backed adjacency must reproduce:
+// every pair within nominal range, each row ascending.
+std::vector<std::vector<NodeId>> pairwise_adjacency(Network& network,
+                                                    sim::Time t) {
+  std::vector<geom::Vec2> pos(network.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    pos[i] = network.node(static_cast<NodeId>(i)).position(t);
+  }
+  const double range = network.medium().nominal_range_m();
+  std::vector<std::vector<NodeId>> adj(pos.size());
+  for (std::size_t i = 0; i < pos.size(); ++i) {
+    for (std::size_t j = i + 1; j < pos.size(); ++j) {
+      if (geom::distance(pos[i], pos[j]) <= range) {
+        adj[i].push_back(static_cast<NodeId>(j));
+        adj[j].push_back(static_cast<NodeId>(i));
+      }
+    }
+  }
+  return adj;
+}
+
 TEST(NetworkTest, TrueAdjacencyMatchesGeometry) {
   auto world = test::make_static_world(
       {{0.0, 0.0}, {90.0, 0.0}, {220.0, 0.0}}, 100.0,
@@ -147,6 +169,25 @@ TEST(NetworkTest, TrueAdjacencyMatchesGeometry) {
   EXPECT_EQ(adj[1], (std::vector<NodeId>{0}));  // 1-2 are 130 m apart
   EXPECT_TRUE(adj[2].empty());
   EXPECT_NEAR(world->network->distance(0, 1, 0.0), 90.0, 1e-12);
+
+  // A random fleet: the grid-backed rows equal the pairwise reference.
+  sim::Simulator sim;
+  util::Rng root(11);
+  mobility::FleetParams fleet;
+  fleet.duration = 200.0;
+  Network network(sim, radio::make_paper_medium(150.0), fleet.field,
+                  NetworkParams{}, root.substream("network"));
+  network.add_fleet(
+      mobility::make_fleet(fleet, 80, root.substream("mobility")));
+  std::size_t links = 0;
+  for (const sim::Time t : {0.0, 37.5, 120.0}) {
+    const auto grid_adj = network.true_adjacency(t);
+    EXPECT_EQ(grid_adj, pairwise_adjacency(network, t)) << "t=" << t;
+    for (const auto& row : grid_adj) {
+      links += row.size();
+    }
+  }
+  EXPECT_GT(links, 0u);
 }
 
 TEST(NetworkTest, FailedNodeIsSilentAndDeaf) {

@@ -6,8 +6,9 @@
 // draws, stats, hooks, event scheduling) replays on the commit thread in
 // exact serial order. These tests pin that contract with RunResult's
 // bit-exact operator== across sim_jobs ∈ {1, 2, 8} on the paper Figure-3
-// setup, a resilience-churn slice, a stochastic (shadowing) medium, and a
-// randomized cross-shard stress mix; plus a direct planner-engagement check
+// setup, a resilience-churn slice, zero-delay (immediate) delivery under
+// faults and batteries, a stochastic (shadowing) medium, and a randomized
+// cross-shard stress mix; plus a direct planner-engagement check
 // so a silent fallback-to-serial cannot fake a pass.
 #include <cstdint>
 #include <memory>
@@ -38,8 +39,10 @@ scenario::RunResult run_with_jobs(scenario::Scenario s, int jobs) {
 // Runs `s` serially and with 2 and 8 workers; every result must be
 // bit-identical (RunResult::operator== is defaulted member-wise equality,
 // including doubles, counters, fault timelines and the obs snapshot).
-void expect_jobs_invariant(const scenario::Scenario& s, const char* what) {
-  const scenario::RunResult serial = run_with_jobs(s, 1);
+// Returns the serial result.
+scenario::RunResult expect_jobs_invariant(const scenario::Scenario& s,
+                                          const char* what) {
+  scenario::RunResult serial = run_with_jobs(s, 1);
   for (const int jobs : {2, 8}) {
     const scenario::RunResult sharded = run_with_jobs(s, jobs);
     EXPECT_TRUE(serial == sharded)
@@ -50,6 +53,7 @@ void expect_jobs_invariant(const scenario::Scenario& s, const char* what) {
         << serial.events_executed << " vs " << sharded.events_executed
         << ")";
   }
+  return serial;
 }
 
 TEST(ShardedDeterminism, Fig3BitIdenticalAcrossSimJobs) {
@@ -72,6 +76,33 @@ TEST(ShardedDeterminism, ResilienceChurnBitIdenticalAcrossSimJobs) {
   s.faults.loss_burst_duration = 8.0;
   s.faults.loss_burst_probability = 0.9;
   expect_jobs_invariant(s, "resilience-churn");
+}
+
+// Zero delivery delay takes the commit loop's immediate-delivery branch:
+// receivers run inside the sender's broadcast, so crashes, loss bursts and
+// battery deaths land between one broadcast and the next scan.
+TEST(ShardedDeterminism, ZeroDelayDeliveryBitIdenticalAcrossSimJobs) {
+  scenario::Scenario s = scenario::paper_scenario();
+  s.sim_time = 90.0;
+  s.net.delivery_delay = 0.0;
+  s.faults.begin = 20.0;
+  s.faults.end = 70.0;
+  s.faults.crash_rate = 0.03;
+  s.faults.mean_downtime = 20.0;
+  s.faults.loss_burst_rate = 0.02;
+  s.faults.loss_burst_duration = 8.0;
+  s.faults.loss_burst_probability = 0.9;
+  s.energy.enabled = true;
+  s.energy.capacity_j = 4.0;
+  s.energy.capacity_jitter = 0.5;
+  s.energy.idle_drain_w = 0.01;
+  s.energy.hello_tx_cost_j = 0.02;
+  s.energy.hello_rx_cost_j = 0.005;
+  const scenario::RunResult serial = expect_jobs_invariant(s, "zero-delay");
+  EXPECT_GT(serial.faults_injected, serial.battery_deaths)
+      << "no scheduled fault fired — the crash/loss-burst half is vacuous";
+  EXPECT_GT(serial.battery_deaths, 0u)
+      << "no battery died — the energy half is vacuous";
 }
 
 // Stochastic media draw per-candidate fading at commit time (workers only
